@@ -457,8 +457,8 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation: exact hash-consed symbolic engine vs numeric random evaluation
-// for pattern prediction (DESIGN.md design-choice ablation).
+// Ablation: fingerprinted symbolic engine vs float random evaluation for
+// pattern prediction (DESIGN.md design-choice ablation).
 // ---------------------------------------------------------------------------
 
 func BenchmarkAblationSymbolicVsNumeric(b *testing.B) {
@@ -467,7 +467,7 @@ func BenchmarkAblationSymbolicVsNumeric(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Symbolic prediction.
 		eng := symconv.NewEngine()
-		symKeys := make([]string, pat.Q)
+		symKeys := make([]uint64, pat.Q)
 		for q := 0; q < pat.Q; q++ {
 			g := eng.ProbeGrid(pat, q, 32, 32)
 			for li, l := range layers {
@@ -485,8 +485,8 @@ func BenchmarkAblationSymbolicVsNumeric(b *testing.B) {
 		if i == 0 {
 			fmt.Printf("\n[ablation] symbolic %s vs numeric %s (agree: %v)\n",
 				symconv.PatternString(symPat), symconv.PatternString(numPat), agree)
-			fmt.Println("numeric evaluation reproduces the partition with high probability but")
-			fmt.Println("carries a Schwartz-Zippel-style failure probability the exact engine avoids.")
+			fmt.Println("float evaluation interprets max and rounds, so unlike the field engine's")
+			fmt.Println("uninterpreted max and exact GF(2^61-1) arithmetic it has no collision bound.")
 		}
 	}
 }

@@ -12,9 +12,8 @@
 //	huffbench -slow attack_smallcnn=2   # gate self-test: injected slowdown
 //
 // Scenario notes: the heavier end-to-end scenario is a width-scaled
-// ResNet-18 rather than VGG-S — a VGG-S geometry solve explodes the
-// symbolic engine's expression count (GBs of interned sums) and does not
-// finish in CI time; see EXPERIMENTS.md.
+// ResNet-18 rather than VGG-S — a VGG-S geometry solve at the default
+// hypothesis space does not finish in CI time; see EXPERIMENTS.md.
 package main
 
 import (
@@ -142,11 +141,9 @@ func attackScenario(env *benchEnv, name, model string, scale int, keep float64, 
 			"device_cycles":  dev.SimulatedTime * acfg.ClockHz,
 			"solution_count": float64(res.Space.Count()),
 			// Convergence-ledger metrics: how small the solution space ended
-			// up, how many victim queries bought 90% of the collapse, and the
-			// interner's peak size (the VGG-S blowup guard).
+			// up and how many victim queries bought 90% of the collapse.
 			"converge_log10_volume_final": sum.FinalLog10Volume,
 			"converge_queries_to_90pct":   float64(sum.QueriesTo90Pct),
-			"sym_peak_exprs":              float64(sum.PeakSymExprs),
 		}
 		rep := prof.BuildReport(col.Metrics(), wall, 12)
 		addStageMetrics(met, rep)
@@ -175,8 +172,8 @@ func addStageMetrics(m Metrics, rep *prof.Report) {
 	if rep.WallPerDeviceSecond > 0 {
 		m["wall_device_ratio"] = rep.WallPerDeviceSecond
 	}
-	if rep.SymExprs > 0 {
-		m["sym_interned_exprs"] = rep.SymExprs
+	if rep.SymCells > 0 {
+		m["sym_cells"] = rep.SymCells
 	}
 }
 

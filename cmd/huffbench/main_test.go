@@ -159,7 +159,7 @@ func TestAddStageMetrics(t *testing.T) {
 		StageWallSeconds:    4.5,
 		TraceEvents:         1000,
 		WallPerDeviceSecond: 250,
-		SymExprs:            5000,
+		SymCells:            5000,
 		Stages: []prof.StageCost{
 			{Stage: "probe", WallSeconds: 4, AllocBytes: 1 << 20, GCCPUSeconds: 0.1},
 			{Stage: "solve", WallSeconds: 0.5},
@@ -177,7 +177,7 @@ func TestAddStageMetrics(t *testing.T) {
 		"stage_total_wall_seconds":   4.5,
 		"trace_events":               1000,
 		"wall_device_ratio":          250,
-		"sym_interned_exprs":         5000,
+		"sym_cells":                  5000,
 	}
 	for k, v := range want {
 		if m[k] != v {
@@ -187,7 +187,7 @@ func TestAddStageMetrics(t *testing.T) {
 	// Zero-valued derived metrics stay out rather than polluting the record.
 	m2 := Metrics{}
 	addStageMetrics(m2, &prof.Report{})
-	for _, absent := range []string{"trace_events", "wall_device_ratio", "sym_interned_exprs"} {
+	for _, absent := range []string{"trace_events", "wall_device_ratio", "sym_cells"} {
 		if _, ok := m2[absent]; ok {
 			t.Errorf("empty report emitted %s", absent)
 		}
@@ -280,7 +280,7 @@ func TestRealScenariosProduceRequiredMetrics(t *testing.T) {
 				t.Errorf("%s: stage %s missing from record", name, stage)
 			}
 		}
-		if m["trace_events"] <= 0 || m["wall_device_ratio"] <= 0 || m["sym_interned_exprs"] <= 0 {
+		if m["trace_events"] <= 0 || m["wall_device_ratio"] <= 0 || m["sym_cells"] <= 0 {
 			t.Errorf("%s: simulator cost metrics missing: %v", name, m)
 		}
 		rep := env.reports[name]

@@ -73,20 +73,18 @@ var rules = map[string]rule{
 	"values_per_second": {higherBetter: true, threshold: 1.8},
 	"bytes_per_second":  {higherBetter: true, threshold: 1.8},
 	// Cost-attribution metrics (internal/prof via attackScenario). Trace
-	// events and interner size depend only on the code path, so they gate
-	// across machines; the interner gets slack for solve-schedule tweaks.
-	"trace_events":       {higherBetter: false, threshold: 1.05, deterministic: true},
-	"sym_interned_exprs": {higherBetter: false, threshold: 1.1, deterministic: true},
+	// events and the full-trial solve's symbolic cell count depend only on
+	// the code path, so they gate across machines; the cell count gets
+	// slack for solve-schedule tweaks.
+	"trace_events": {higherBetter: false, threshold: 1.05, deterministic: true},
+	"sym_cells":    {higherBetter: false, threshold: 1.1, deterministic: true},
 	// wall/device is the simulator slowdown the fast-path work must cut; a
 	// loose host-noise threshold still catches a hot-loop regression.
 	"wall_device_ratio": {higherBetter: false, threshold: 2.5},
 	// Convergence-ledger metrics: the final solution-space volume and the
-	// query cost of 90% of the collapse depend only on the code path, as
-	// does the interner's peak size (which guards the VGG-S-style blowup;
-	// same slack as sym_interned_exprs for solve-schedule tweaks).
+	// query cost of 90% of the collapse depend only on the code path.
 	"converge_log10_volume_final": {higherBetter: false, threshold: 1.05, deterministic: true},
 	"converge_queries_to_90pct":   {higherBetter: false, threshold: 1.05, deterministic: true},
-	"sym_peak_exprs":              {higherBetter: false, threshold: 1.1, deterministic: true},
 	// Campaign-store read path (store_readpath). The corpus is seeded, so
 	// its shape — record/byte/segment counts, scan matches, model count —
 	// depends only on the code and gates across machines; the per-operation

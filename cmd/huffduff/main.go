@@ -75,10 +75,8 @@ func main() {
 		metricsOut = cli.MetricsOutFlag() // plus BENCH_attack.json alongside
 		verbose    = flag.Bool("v", false, "print the span tree, metric counters, and per-layer device telemetry")
 
-		progress    = flag.Bool("progress", false, "stream convergence-ledger snapshots to stderr as the attack runs")
-		ledgerOut   = flag.String("ledger-out", "", "write the convergence ledger as JSONL to this file")
-		symMaxExprs = flag.Int("sym-max-exprs", 0, "abort the solve if the symbolic interner exceeds this many expressions (0 = unlimited)")
-		symMaxBytes = flag.Int64("sym-max-bytes", 0, "abort the solve if the symbolic interner exceeds this many key bytes (0 = unlimited)")
+		progress  = flag.Bool("progress", false, "stream convergence-ledger snapshots to stderr as the attack runs")
+		ledgerOut = flag.String("ledger-out", "", "write the convergence ledger as JSONL to this file")
 	)
 	flag.Parse()
 
@@ -134,8 +132,6 @@ func main() {
 	cfg.Probe.Q = *q
 	cfg.Probe.Seed = *seed
 	cfg.Probe.NoiseTolerant = *noiseOK
-	cfg.Probe.SymMaxExprs = *symMaxExprs
-	cfg.Probe.SymMaxBytes = *symMaxBytes
 	if *retries >= 0 {
 		cfg.Probe.MaxRetries = *retries
 	}
@@ -245,20 +241,7 @@ func main() {
 
 	sp := res.Space
 	if res.Degraded {
-		if sp.Partial {
-			fmt.Printf("\nDEGRADED result: solve aborted by the expression budget (%s)\n", res.DegradedReason)
-			if res.Probe != nil && len(res.Probe.Sites) > 0 {
-				fmt.Println("interner growth by call site (largest first):")
-				for i, st := range res.Probe.Sites {
-					if i == 5 {
-						break
-					}
-					fmt.Printf("  %-16s %8d exprs %10d key bytes\n", st.Site, st.Misses, st.Bytes)
-				}
-			}
-		} else {
-			fmt.Printf("\nDEGRADED result: timing channel unusable (%s)\n", res.DegradedReason)
-		}
+		fmt.Printf("\nDEGRADED result: timing channel unusable (%s)\n", res.DegradedReason)
 		fmt.Println("per-conv channel bounds from transfer headers + sparse bound:")
 		ids := make([]int, 0, len(sp.KBounds))
 		for id := range sp.KBounds {

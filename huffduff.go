@@ -204,11 +204,6 @@ var (
 	ErrTimingUnusable = faults.ErrTimingUnusable
 	// ErrBadConfig marks an invalid configuration; do not retry.
 	ErrBadConfig = faults.ErrBadConfig
-	// ErrSymBudget marks a solve aborted by the symbolic-expression budget
-	// (AttackConfig.Probe.SymMaxExprs/SymMaxBytes); the attack returns a
-	// Degraded partial solution space instead of exhausting memory. Do not
-	// retry without raising the budget.
-	ErrSymBudget = faults.ErrSymBudget
 )
 
 // Convergence observability: the solution-space collapse as a snapshot
@@ -224,8 +219,8 @@ type (
 	// candidate state, bits eliminated since the previous snapshot.
 	ConvergeSnapshot = converge.Snapshot
 	// ConvergeSummary condenses a finished ledger into the headline
-	// convergence metrics (final volume, queries to 90% collapse, peak
-	// interner size).
+	// convergence metrics (final volume, queries to 90% collapse, most
+	// symbolic cells one solve evaluated).
 	ConvergeSummary = converge.Summary
 )
 

@@ -41,17 +41,11 @@ func (h ledgerHook) snap(stage string, pr *ProbeResult, tm *TimingResult, space 
 	case space != nil:
 		s.GeomAmbiguity = space.GeomAmbiguity
 		s.Degraded = space.Degraded
-		s.Partial = space.Partial
 	case pr != nil:
 		s.GeomAmbiguity = solveAmbiguity(pr)
 	}
 	if pr != nil {
 		s.SymExprs = pr.Sym.Exprs
-		s.SymHitRate = pr.Sym.HitRate()
-		if pr.Partial {
-			s.Partial = true
-			s.Degraded = true
-		}
 	}
 	if mut != nil {
 		mut(&s)
@@ -63,7 +57,7 @@ func (h ledgerHook) snap(stage string, pr *ProbeResult, tm *TimingResult, space 
 // ledger's accounting model:
 //
 //   - a finalized exact space is GeomAmbiguity × Count() candidates;
-//   - a degraded/partial space contributes each conv's KBounds interval
+//   - a degraded space contributes each conv's KBounds interval
 //     width (unconstrained convs fall back to hypotheses × channelSpan);
 //   - pre-finalize, each conv contributes its live geometry-candidate
 //     count (the full hypothesis list before its solve) times channelSpan,

@@ -84,12 +84,6 @@ type ProbeConfig struct {
 	// (Trials × families × Q). It runs on the collection goroutine between
 	// victim inferences — keep it cheap and non-blocking.
 	Progress func(done, total int)
-	// SymMaxExprs/SymMaxBytes arm the symbolic interner's growth watchdog
-	// for the solve: past either limit (0 = unlimited) the solve aborts
-	// into a partial ProbeResult with per-site growth attribution instead
-	// of growing toward OOM. The error wraps faults.ErrSymBudget.
-	SymMaxExprs int
-	SymMaxBytes int64
 }
 
 // DefaultProbeConfig returns the configuration used in the evaluation.
@@ -153,9 +147,6 @@ func (cfg ProbeConfig) Validate() error {
 	}
 	if cfg.MaxRetries < 0 || cfg.RetryBackoff < 0 {
 		return bad("negative retry budget (MaxRetries=%d, RetryBackoff=%v)", cfg.MaxRetries, cfg.RetryBackoff)
-	}
-	if cfg.SymMaxExprs < 0 || cfg.SymMaxBytes < 0 {
-		return bad("negative sym budget (SymMaxExprs=%d, SymMaxBytes=%d)", cfg.SymMaxExprs, cfg.SymMaxBytes)
 	}
 	if cfg.Consistency != nil {
 		return cfg.Consistency.Validate()
@@ -494,26 +485,17 @@ func CollectContext(ctx context.Context, victim Victim, g *ObsGraph, inC, inH, i
 }
 
 // observedPartition builds the class pattern over probe positions for one
-// node using the first `trials` trials of every family.
+// node using the first `trials` trials of every family. Only Robust mode
+// forgives mismatches (RobustMismatchBudget); plain mode is exact.
 func (pd *ProbeData) observedPartition(node, trials int) []int {
 	if pd.Cfg.NoiseTolerant {
 		return pd.noiseTolerantPartition(node, trials)
 	}
+	budget := 0
 	if pd.Cfg.Robust {
-		return pd.tolerantExactPartition(node, trials)
+		budget = max(pd.Cfg.RobustMismatchBudget, 0)
 	}
-	keys := make([]string, pd.Cfg.Q)
-	for q := 0; q < pd.Cfg.Q; q++ {
-		key := ""
-		for f := range pd.Families {
-			for t := 0; t < trials; t++ {
-				key += fmt.Sprintf("%d,", pd.Bytes[node][f][q][t])
-			}
-			key += ";"
-		}
-		keys[q] = key
-	}
-	return symconv.ClassPattern(keys)
+	return pd.tolerantExactPartition(node, trials, budget)
 }
 
 // noiseTolerantPartition relates two probe positions when their mean
@@ -550,22 +532,17 @@ func (pd *ProbeData) noiseTolerantPartition(node, trials int) []int {
 	return symconv.ClassPattern(uf.labels())
 }
 
-// tolerantExactPartition is the Robust-mode partition: two probe positions
-// are related unless their (integer) volumes disagree in more than
-// RobustMismatchBudget of the (family, trial) draws, then the transitive
-// closure is taken. With the default budget of 0 this is the exact
-// partition — any nonzero tolerance also forgives the *rare genuine*
-// distinctions that §5.4 trial escalation exists to amplify (one draw can
-// be the only evidence separating conv3+pool2 from conv3+stride2), so
-// residual noise is scrubbed upstream by repeat-until-agreement
-// aggregation instead, and the budget is an explicit opt-in for rigs
-// whose noise survives even that.
-func (pd *ProbeData) tolerantExactPartition(node, trials int) []int {
+// tolerantExactPartition relates two probe positions unless their (integer)
+// volumes disagree in more than budget of the (family, trial) draws, then
+// takes the transitive closure. With budget 0 this is the exact partition
+// (equal volumes in every draw), which plain and default Robust mode use.
+// Any nonzero tolerance also forgives the *rare genuine* distinctions that
+// §5.4 trial escalation exists to amplify (one draw can be the only
+// evidence separating conv3+pool2 from conv3+stride2), so residual noise
+// is scrubbed upstream by repeat-until-agreement aggregation instead, and
+// the budget is an explicit opt-in for rigs whose noise survives even that.
+func (pd *ProbeData) tolerantExactPartition(node, trials, budget int) []int {
 	q := pd.Cfg.Q
-	budget := pd.Cfg.RobustMismatchBudget
-	if budget < 0 {
-		budget = 0
-	}
 	uf := newUnionFind(q)
 	for i := 0; i < q; i++ {
 		for j := i + 1; j < q; j++ {
@@ -585,8 +562,7 @@ func (pd *ProbeData) tolerantExactPartition(node, trials int) []int {
 	return symconv.ClassPattern(uf.labels())
 }
 
-// unionFind is a small disjoint-set forest used by the noise-tolerant
-// partition builders.
+// unionFind is a small disjoint-set forest used by the partition builders.
 type unionFind struct{ parent []int }
 
 func newUnionFind(n int) *unionFind {
@@ -631,21 +607,15 @@ type ProbeResult struct {
 	Exact map[int]bool
 	// TrialsUsed is how many trials the result was computed from.
 	TrialsUsed int
-	// Sym snapshots the symbolic engine's interner after the solve:
-	// distinct-expression count and intern hit/miss split. This is the
-	// solver's cost attribution — a VGG-S-style expression blowup is visible
-	// here long before the process runs out of memory.
+	// Sym snapshots the symbolic engine's work counter after the solve:
+	// Sym.Exprs is the number of symbolic cells evaluated, which depends
+	// only on the code path.
 	Sym sym.Stats
-	// Partial marks a solve aborted by the sym budget watchdog: the maps
-	// above hold whatever prefix of the graph had been assigned when the
-	// budget blew, and Sites attributes the interner growth per expression
-	// family (largest first).
-	Partial bool
-	Sites   []sym.SiteStats
 }
 
 // solver carries the state of the backtracking geometry search.
 type solver struct {
+	ctx    context.Context
 	pd     *ProbeData
 	eng    *symconv.Engine
 	trials int
@@ -663,6 +633,8 @@ type solver struct {
 
 	firstConv int
 	failNote  string
+	// err is the context error that stopped the search, if any.
+	err error
 }
 
 func (s *solver) observedOf(node int) []int {
@@ -674,14 +646,17 @@ func (s *solver) observedOf(node int) []int {
 	return p
 }
 
+// predictedPattern is the class pattern over probe positions of one
+// hypothesis: position q's key is its per-family grid signatures, combined
+// in family order.
 func (s *solver) predictedPattern(gs [][]symconv.Grid) []int {
-	keys := make([]string, s.pd.Cfg.Q)
-	for q := 0; q < s.pd.Cfg.Q; q++ {
-		key := ""
-		for f := range s.pd.Families {
-			key += symconv.Signature(gs[f][q]) + "|"
+	keys := make([]uint64, s.pd.Cfg.Q)
+	sigs := make([]uint64, len(s.pd.Families))
+	for q := range keys {
+		for f := range sigs {
+			sigs[f] = symconv.Signature(gs[f][q])
 		}
-		keys[q] = key
+		keys[q] = sym.Combine(sigs)
 	}
 	return symconv.ClassPattern(keys)
 }
@@ -798,8 +773,12 @@ func (s *solver) consistent(node int) bool {
 }
 
 // solveFrom assigns geometry to nodes[i:] by depth-first search; it returns
-// true when a fully consistent assignment exists.
+// true when a fully consistent assignment exists. A done context stops the
+// search at the next node visit, with the cause in s.err.
 func (s *solver) solveFrom(i int) bool {
+	if s.err = s.ctx.Err(); s.err != nil {
+		return false
+	}
 	g := s.pd.Graph
 	if i == len(g.Nodes) {
 		return true
@@ -968,11 +947,20 @@ func (s *solver) solveFrom(i int) bool {
 // (keeping refinements — the one-sided error — and preferring exact
 // matches), and prunes assignments that violate residual-dimension,
 // weight-capacity, transfer-header, or timing consistency (§7).
-func (pd *ProbeData) Solve(trials int) (res *ProbeResult, err error) {
+func (pd *ProbeData) Solve(trials int) (*ProbeResult, error) {
+	//lint:ignore ctxflow compatibility wrapper: Solve is the documented no-context entry point
+	return pd.SolveContext(context.Background(), trials)
+}
+
+// SolveContext is Solve bounded by ctx: the search checks ctx at every
+// graph node it visits and returns an error wrapping ctx.Err() once ctx is
+// done.
+func (pd *ProbeData) SolveContext(ctx context.Context, trials int) (*ProbeResult, error) {
 	if trials < 1 || trials > pd.Cfg.Trials {
 		return nil, fmt.Errorf("huffduff: %d trials requested, %d collected", trials, pd.Cfg.Trials)
 	}
 	s := &solver{
+		ctx:      ctx,
 		pd:       pd,
 		eng:      symconv.NewEngine(),
 		trials:   trials,
@@ -985,35 +973,10 @@ func (pd *ProbeData) Solve(trials int) (res *ProbeResult, err error) {
 		outH:     map[int]int{},
 		psumH:    map[int]int{},
 	}
-	if pd.Cfg.SymMaxExprs > 0 || pd.Cfg.SymMaxBytes > 0 {
-		s.eng.In.SetBudget(pd.Cfg.SymMaxExprs, pd.Cfg.SymMaxBytes)
-		// The watchdog aborts via panic from deep inside the backtracking
-		// search; recover it into a partial result carrying whatever prefix
-		// of the graph had been assigned, plus the per-site attribution that
-		// names the expression family that exploded.
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			be, ok := r.(*sym.BudgetExceeded)
-			if !ok {
-				panic(r)
-			}
-			res = &ProbeResult{
-				Geoms:       s.geom,
-				Candidates:  s.cand,
-				PoolFactors: s.pools,
-				Exact:       s.exact,
-				TrialsUsed:  trials,
-				Sym:         s.eng.In.Stats(),
-				Partial:     true,
-				Sites:       s.eng.In.Sites(),
-			}
-			err = fmt.Errorf("huffduff: solve aborted by watchdog: %v: %w", be, faults.ErrSymBudget)
-		}()
-	}
 	if !s.solveFrom(0) {
+		if s.err != nil {
+			return nil, fmt.Errorf("huffduff: solve stopped: %w", s.err)
+		}
 		return nil, fmt.Errorf("huffduff: no consistent geometry assignment: %s", s.failNote)
 	}
 	return &ProbeResult{
@@ -1022,8 +985,7 @@ func (pd *ProbeData) Solve(trials int) (res *ProbeResult, err error) {
 		PoolFactors: s.pools,
 		Exact:       s.exact,
 		TrialsUsed:  trials,
-		Sym:         s.eng.In.Stats(),
-		Sites:       s.eng.In.Sites(),
+		Sym:         s.eng.Ev.Stats(),
 	}, nil
 }
 

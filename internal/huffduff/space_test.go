@@ -61,12 +61,12 @@ func TestAdmitsDegraded(t *testing.T) {
 }
 
 func TestAdmitsDegradedEmptyBounds(t *testing.T) {
-	// A degraded space with no KBounds at all (e.g. a budget abort before
-	// any geometry was pinned) constrains nothing: every assignment is
-	// admissible, which is exactly what "we learned nothing" means.
-	s := &SolutionSpace{Degraded: true, Partial: true}
+	// A degraded space with no KBounds at all constrains nothing: every
+	// assignment is admissible, which is exactly what "we learned nothing"
+	// means.
+	s := &SolutionSpace{Degraded: true}
 	if !s.Admits(map[int]int{1: 7, 2: 9999}) {
-		t.Fatal("unconstrained partial space rejected an assignment")
+		t.Fatal("unconstrained degraded space rejected an assignment")
 	}
 }
 

@@ -141,8 +141,8 @@ func TestBuildReportAttributesStages(t *testing.T) {
 	col.Count("accel.simulated_seconds", "", 0.02)
 	col.Count("accel.trace_events", "op=read", 600)
 	col.Count("accel.trace_events", "op=write", 400)
-	col.Gauge("sym.interned_exprs", "trials=2", 100)
-	col.Gauge("sym.interned_exprs", "trials=6", 5000)
+	col.Gauge("sym.cells", "trials=2", 100)
+	col.Gauge("sym.cells", "trials=6", 5000)
 
 	r := BuildReport(col.Metrics(), 5.0, 3)
 	if r.StageWallSeconds != 4.0 {
@@ -163,8 +163,8 @@ func TestBuildReportAttributesStages(t *testing.T) {
 	if r.VictimRuns != 2 || r.VictimRunSeconds != 1.2 || r.VictimRunMaxSeconds != 0.7 {
 		t.Errorf("victim summary: %d runs %v s max %v", r.VictimRuns, r.VictimRunSeconds, r.VictimRunMaxSeconds)
 	}
-	if r.SymExprs != 5000 {
-		t.Errorf("SymExprs = %v, want the largest solve step (5000)", r.SymExprs)
+	if r.SymCells != 5000 {
+		t.Errorf("SymCells = %v, want the largest solve step (5000)", r.SymCells)
 	}
 	if len(r.TopCounters) != 3 {
 		t.Errorf("topN not applied: %d counters", len(r.TopCounters))
@@ -175,7 +175,7 @@ func TestBuildReportAttributesStages(t *testing.T) {
 	if a != b {
 		t.Error("Text() not deterministic")
 	}
-	for _, want := range []string{"probe", "solve", "victim queries", "sym interner"} {
+	for _, want := range []string{"probe", "solve", "victim queries", "sym solver"} {
 		if !strings.Contains(a, want) {
 			t.Errorf("report text missing %q:\n%s", want, a)
 		}

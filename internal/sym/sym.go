@@ -1,37 +1,38 @@
-// Package sym provides hash-consed symbolic expressions: the algebra behind
-// the paper's symbolic convolution engine (§6.2). Expressions are built from
-// free variables (generic weights, biases, probe values), weighted sums, and
-// max nodes; each structurally distinct expression gets a unique ID, so
-// expression equality — the engine's only question — is integer comparison.
+// Package sym provides the symbolic expressions behind the paper's symbolic
+// convolution engine (§6.2). Expressions are built from free variables
+// (generic weights, biases, probe values), weighted sums, max nodes and
+// activations, and the engine only ever asks one question of them: are two
+// expressions equal for generic weights?
 //
-// Structural identity is the right notion here: probe positions related by a
-// shift build *identical* trees, while positions that differ (the boundary
-// effect) build different trees whose values differ for generic weights.
-// The residual "structurally different but numerically equal" case is
-// exactly the one-sided observability error the attack already tolerates
-// (§5.4).
+// Each expression is represented by its fingerprint (an ID): its value at a
+// fixed pseudo-random point of the prime field GF(P), P = 2⁶¹−1. A
+// variable's value is a deterministic hash of its name and a sum is
+// evaluated by field arithmetic. Max and activations are uninterpreted
+// functions: their value is a hash of their (sorted, deduplicated)
+// arguments. Equal expressions therefore have equal IDs; by the
+// Schwartz–Zippel lemma two different polynomials of degree d share an ID
+// with probability at most d/P. Nothing is stored per expression, so memory
+// is O(live grids) rather than O(every expression ever built).
+//
+// Polynomial identity is coarser than structural identity — (a+b)+c and
+// a+(b+c) are one expression — but never wrong: expressions it merges are
+// equal as functions, so they have equal values and equal nnz. Expressions
+// that differ as polynomials but agree numerically are exactly the
+// one-sided observability error the attack already tolerates (§5.4).
 package sym
 
 import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"math/bits"
+	"slices"
 )
 
-// ID identifies an interned expression. IDs are only meaningful within the
-// Interner that produced them.
-type ID int32
+// P is the Mersenne prime 2⁶¹−1, the modulus of the fingerprint field.
+const P = 1<<61 - 1
 
-type opKind uint8
-
-const (
-	opZero opKind = iota
-	opOne
-	opVar
-	opSum
-	opMax
-)
+// ID is an expression's fingerprint, an element of GF(P). IDs are
+// deterministic: the same expression has the same ID in every Evaluator and
+// every process.
+type ID uint64
 
 // Term is one coef·x summand of a Sum expression.
 type Term struct {
@@ -39,292 +40,154 @@ type Term struct {
 	X    ID
 }
 
-type node struct {
-	op    opKind
-	name  string // opVar
-	terms []Term // opSum
-	args  []ID   // opMax
+// Evaluator computes fingerprints and counts the compound values it
+// computes — the symbolic engine's deterministic work counter.
+type Evaluator struct {
+	cells   int
+	maxArgs []ID // scratch for Max
 }
 
-// Interner hash-conses expressions.
-type Interner struct {
-	nodes []node
-	index map[string]ID
-	kbuf  []byte // scratch for key construction; intern is the hot path
-	// hits/misses count intern lookups that found an existing expression vs
-	// materialized a new one. They cost one integer add on the hot path and
-	// are the raw material for the solver's cost attribution (a VGG-S solve
-	// is "interner-bound" exactly when misses explode; see ROADMAP).
-	hits, misses uint64
-	// bytes approximates retained memory as the sum of interned key bytes
-	// (the index map keys dominate a blown-up interner).
-	bytes int64
-	// Growth watchdog (SetBudget). A solve that would intern past either
-	// limit panics with *BudgetExceeded instead of growing toward OOM; the
-	// prober recovers the panic into a partial result. site is the current
-	// caller attribution label (SetSite) and siteMisses — allocated only
-	// when a budget is armed, so the unbudgeted hot path pays nothing —
-	// attributes new expressions to the call site that built them.
-	maxExprs   int
-	maxBytes   int64
-	site       string
-	siteMisses map[string]*siteCount
-}
-
-type siteCount struct {
-	misses int
-	bytes  int64
-}
-
-// BudgetExceeded is the panic value thrown by intern when a SetBudget limit
-// is crossed. It implements error; Site names the attribution label that was
-// active when the budget blew (for a conv engine, the layer tag whose
-// expression family exploded).
-type BudgetExceeded struct {
-	Site     string
-	Exprs    int
-	Bytes    int64
-	MaxExprs int
-	MaxBytes int64
-}
-
-// Error implements the error interface.
-func (e *BudgetExceeded) Error() string {
-	return fmt.Sprintf("sym: expression budget exceeded at site %q: %d exprs (max %d), %d key bytes (max %d)",
-		e.Site, e.Exprs, e.MaxExprs, e.Bytes, e.MaxBytes)
-}
-
-// SetBudget arms the growth watchdog: interning more than maxExprs distinct
-// expressions or more than maxBytes of key bytes panics with
-// *BudgetExceeded. A zero limit means unlimited on that axis; arming any
-// budget also enables per-site miss attribution (Sites).
-func (in *Interner) SetBudget(maxExprs int, maxBytes int64) {
-	in.maxExprs = maxExprs
-	in.maxBytes = maxBytes
-	if in.siteMisses == nil && (maxExprs > 0 || maxBytes > 0) {
-		in.siteMisses = make(map[string]*siteCount)
-	}
-}
-
-// SetSite labels subsequent interning with the given call-site attribution
-// key (e.g. the symbolic conv engine's per-layer tag). Cheap enough for
-// per-layer granularity; a site sticks until the next SetSite.
-func (in *Interner) SetSite(site string) { in.site = site }
-
-// SiteStats is one call site's share of interner growth.
-type SiteStats struct {
-	Site   string
-	Misses int
-	Bytes  int64
-}
-
-// Sites returns per-site growth attribution, largest first (ties broken by
-// site name for determinism). Empty unless a budget was armed before the
-// growth happened.
-func (in *Interner) Sites() []SiteStats {
-	out := make([]SiteStats, 0, len(in.siteMisses))
-	for site, c := range in.siteMisses {
-		out = append(out, SiteStats{Site: site, Misses: c.misses, Bytes: c.bytes})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Misses != out[j].Misses {
-			return out[i].Misses > out[j].Misses
-		}
-		return out[i].Site < out[j].Site
-	})
-	return out
-}
-
-// NewInterner returns an interner pre-seeded with Zero and One.
-func NewInterner() *Interner {
-	in := &Interner{index: make(map[string]ID)}
-	in.intern(node{op: opZero}) // ID 0
-	in.intern(node{op: opOne})  // ID 1
-	return in
-}
+// NewEvaluator returns an evaluator with a zero work counter.
+func NewEvaluator() *Evaluator { return &Evaluator{} }
 
 // Zero is the additive identity (the implicit padding value).
-func (in *Interner) Zero() ID { return 0 }
+func (e *Evaluator) Zero() ID { return 0 }
 
 // One is the multiplicative identity (used as the x of bias terms).
-func (in *Interner) One() ID { return 1 }
+func (e *Evaluator) One() ID { return 1 }
 
-// appendKey serializes n into buf. Interning is the engine's hottest path
-// (every symbolic Sum/Max lands here), so the key is built with integer
-// appends into a reusable scratch buffer rather than fmt.
-func appendKey(buf []byte, n node) []byte {
-	switch n.op {
-	case opZero:
-		buf = append(buf, '0')
-	case opOne:
-		buf = append(buf, '1')
-	case opVar:
-		buf = append(buf, 'v', ':')
-		buf = append(buf, n.name...)
-	case opSum:
-		buf = append(buf, 's', ':')
-		for _, t := range n.terms {
-			buf = strconv.AppendInt(buf, int64(t.Coef), 10)
-			buf = append(buf, '*')
-			buf = strconv.AppendInt(buf, int64(t.X), 10)
-			buf = append(buf, ',')
-		}
-	case opMax:
-		buf = append(buf, 'm', ':')
-		for _, a := range n.args {
-			buf = strconv.AppendInt(buf, int64(a), 10)
-			buf = append(buf, ',')
-		}
-	}
-	return buf
+// mix is the splitmix64 finalizer, a bijective 64-bit mixer.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
-func (in *Interner) intern(n node) ID {
-	in.kbuf = appendKey(in.kbuf[:0], n)
-	// map[string]ID lookup keyed by []byte compiles to a no-alloc probe;
-	// the key string is materialized only for genuinely new expressions.
-	if id, ok := in.index[string(in.kbuf)]; ok {
-		in.hits++
-		return id
+// toField maps a 64-bit hash into GF(P) \ {0, 1}, so no hashed value is
+// ever the identity Zero or One.
+func toField(h uint64) ID { return ID(h%(P-2) + 2) }
+
+func addMod(a, b ID) ID {
+	r := a + b
+	if r >= P {
+		r -= P
 	}
-	in.misses++
-	id := ID(len(in.nodes))
-	in.nodes = append(in.nodes, n)
-	in.index[string(in.kbuf)] = id
-	in.bytes += int64(len(in.kbuf))
-	if in.siteMisses != nil {
-		c := in.siteMisses[in.site]
-		if c == nil {
-			c = &siteCount{}
-			in.siteMisses[in.site] = c
-		}
-		c.misses++
-		c.bytes += int64(len(in.kbuf))
-		if (in.maxExprs > 0 && len(in.nodes) > in.maxExprs) ||
-			(in.maxBytes > 0 && in.bytes > in.maxBytes) {
-			panic(&BudgetExceeded{
-				Site: in.site, Exprs: len(in.nodes), Bytes: in.bytes,
-				MaxExprs: in.maxExprs, MaxBytes: in.maxBytes,
-			})
-		}
-	}
-	return id
+	return r
 }
 
-// Var returns the expression for the named free variable.
-func (in *Interner) Var(name string) ID {
-	return in.intern(node{op: opVar, name: name})
+func mulMod(a, b ID) ID {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	// a·b = hi·2⁶⁴ + lo and 2⁶¹ ≡ 1, so a·b ≡ (lo mod 2⁶¹) + (a·b >> 61).
+	r := ID(lo&P) + ID(hi<<3|lo>>61)
+	if r >= P {
+		r -= P
+	}
+	return r
 }
 
-// Sum returns Σ coef·x over the given terms, canonicalized: terms whose
-// coefficient or operand is Zero are dropped; a single 1·x term collapses to
-// x; the empty sum is Zero; terms are sorted so construction order does not
-// matter.
-func (in *Interner) Sum(terms []Term) ID {
-	kept := make([]Term, 0, len(terms))
+// Var returns the expression for the named free variable: an FNV-1a hash
+// of the name, mixed and mapped into the field.
+func (e *Evaluator) Var(name string) ID {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	return toField(mix(h))
+}
+
+// Sum returns Σ coef·x over the given terms. Term order, zero terms and a
+// lone 1·x term need no special handling: the field arithmetic gives the
+// same value the canonical form would.
+func (e *Evaluator) Sum(terms []Term) ID {
+	e.cells++
+	var acc ID
 	for _, t := range terms {
-		if t.Coef == in.Zero() || t.X == in.Zero() {
-			continue
-		}
-		kept = append(kept, t)
+		acc = addMod(acc, mulMod(t.Coef, t.X))
 	}
-	if len(kept) == 0 {
-		return in.Zero()
-	}
-	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].Coef != kept[j].Coef {
-			return kept[i].Coef < kept[j].Coef
-		}
-		return kept[i].X < kept[j].X
-	})
-	if len(kept) == 1 && kept[0].Coef == in.One() {
-		return kept[0].X
-	}
-	return in.intern(node{op: opSum, terms: kept})
+	return acc
 }
 
 // Add returns x + y.
-func (in *Interner) Add(x, y ID) ID {
-	return in.Sum([]Term{{in.One(), x}, {in.One(), y}})
+func (e *Evaluator) Add(x, y ID) ID {
+	e.cells++
+	return addMod(x, y)
 }
 
-// Max returns max over the arguments, canonicalized: duplicates collapse
-// (max(a,a)=a), arguments are sorted, and a single argument is returned
-// as-is. Max of no arguments is Zero.
-func (in *Interner) Max(args []ID) ID {
+// Max returns max over the arguments as an uninterpreted function: equal
+// arguments collapse (max(a,a)=a), argument order does not matter, a single
+// distinct argument is returned as-is, and max of no arguments is Zero.
+// Otherwise the value is a hash of the sorted distinct arguments.
+func (e *Evaluator) Max(args []ID) ID {
+	e.cells++
 	if len(args) == 0 {
-		return in.Zero()
+		return e.Zero()
 	}
-	uniq := append([]ID(nil), args...)
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	out := uniq[:1]
-	for _, a := range uniq[1:] {
-		if a != out[len(out)-1] {
-			out = append(out, a)
-		}
+	uniq := append(e.maxArgs[:0], args...)
+	slices.Sort(uniq)
+	uniq = slices.Compact(uniq)
+	e.maxArgs = uniq
+	if len(uniq) == 1 {
+		return uniq[0]
 	}
-	if len(out) == 1 {
-		return out[0]
+	h := uint64(0x6d6178) // "max"
+	for _, a := range uniq {
+		h = mix(h ^ uint64(a))
 	}
-	return in.intern(node{op: opMax, args: out})
+	return toField(h)
 }
 
-// NumExprs returns how many distinct expressions have been interned.
-func (in *Interner) NumExprs() int { return len(in.nodes) }
+// Act returns f(x) for the uninterpreted injective function f that stands
+// for a layer's elementwise nonlinearity (BatchNorm's affine map, then
+// ReLU). Linear identities stop at f: f(a)+f(b) and f(a+b) are different
+// expressions, as they are different values in the network, while
+// f(x) = f(y) exactly when x = y.
+func (e *Evaluator) Act(x ID) ID {
+	e.cells++
+	return toField(mix(uint64(x) ^ 0x616374)) // "act"
+}
 
-// Stats is the interner's cost-attribution snapshot: the distinct-expression
-// count and how the intern lookups split between cache hits and new
-// materializations. HitRate of a healthy solve is close to 1; a solve whose
-// expression count explodes shows up here first.
+// MultisetHash returns an order-free fingerprint of a multiset of IDs:
+// Π (r − x) over GF(P) at a fixed point r. Two different multisets of n IDs
+// give different degree-n polynomials in r, so they share a hash with
+// probability at most n/P.
+func MultisetHash(ids []ID) uint64 {
+	const r = 0x1d5c_a1e3_f00d_b17 // any fixed element of GF(P)
+	acc := ID(1)
+	for _, x := range ids {
+		acc = mulMod(acc, addMod(r, P-x))
+	}
+	return uint64(acc)
+}
+
+// Combine folds a sequence of fingerprints into one, order-sensitively
+// (Horner evaluation at a fixed point): sequences that differ anywhere
+// differ in the result except with probability at most len/P.
+func Combine(hs []uint64) uint64 {
+	const r = 0x0bad_cafe_1234_567
+	acc := ID(1) // a nonzero start makes leading zeros count
+	for _, h := range hs {
+		acc = addMod(mulMod(acc, r), ID(h%P))
+	}
+	return uint64(acc)
+}
+
+// Stats is the evaluator's work snapshot.
 type Stats struct {
-	Exprs  int
+	// Exprs counts the compound values (Sum, Add, Act and Max results)
+	// computed:
+	// the cells the symbolic engine evaluated. It depends only on the code
+	// path, so it gates tightly.
+	Exprs int
+	// Hits and Misses are always zero: fingerprints are computed, never
+	// looked up, so there is no cache to hit.
 	Hits   uint64
 	Misses uint64
 }
 
-// HitRate returns the fraction of intern lookups served by an existing
-// expression (0 when the interner was never used).
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
+// HitRate is always 0: there is no cache.
+func (s Stats) HitRate() float64 { return 0 }
 
-// Stats returns the interner's current counters.
-func (in *Interner) Stats() Stats {
-	return Stats{Exprs: len(in.nodes), Hits: in.hits, Misses: in.misses}
-}
-
-// String renders an expression for debugging.
-func (in *Interner) String(id ID) string {
-	n := in.nodes[id]
-	switch n.op {
-	case opZero:
-		return "0"
-	case opOne:
-		return "1"
-	case opVar:
-		return n.name
-	case opSum:
-		var parts []string
-		for _, t := range n.terms {
-			if t.Coef == in.One() {
-				parts = append(parts, in.String(t.X))
-			} else if t.X == in.One() {
-				parts = append(parts, in.String(t.Coef))
-			} else {
-				parts = append(parts, in.String(t.Coef)+"*"+in.String(t.X))
-			}
-		}
-		return "(" + strings.Join(parts, "+") + ")"
-	case opMax:
-		var parts []string
-		for _, a := range n.args {
-			parts = append(parts, in.String(a))
-		}
-		return "max(" + strings.Join(parts, ",") + ")"
-	}
-	return "?"
-}
+// Stats returns the evaluator's current counters.
+func (e *Evaluator) Stats() Stats { return Stats{Exprs: e.cells} }

@@ -1,24 +1,28 @@
 package sym
 
-import "testing"
+import (
+	"math/big"
+	"math/rand"
+	"testing"
+)
 
 func TestZeroOneIdentity(t *testing.T) {
-	in := NewInterner()
+	in := NewEvaluator()
 	if in.Zero() == in.One() {
 		t.Fatal("Zero == One")
 	}
 	if in.Zero() != 0 || in.One() != 1 {
-		t.Fatal("seed IDs moved")
+		t.Fatal("identities are not the field's 0 and 1")
 	}
 }
 
 func TestVarInterning(t *testing.T) {
-	in := NewInterner()
+	in := NewEvaluator()
 	a1 := in.Var("a")
 	a2 := in.Var("a")
 	b := in.Var("b")
 	if a1 != a2 {
-		t.Fatal("same var interned twice")
+		t.Fatal("same var hashed differently")
 	}
 	if a1 == b {
 		t.Fatal("distinct vars collided")
@@ -26,7 +30,7 @@ func TestVarInterning(t *testing.T) {
 }
 
 func TestSumCanonicalization(t *testing.T) {
-	in := NewInterner()
+	in := NewEvaluator()
 	a, b, w1, w2 := in.Var("a"), in.Var("b"), in.Var("w1"), in.Var("w2")
 	s1 := in.Sum([]Term{{w1, a}, {w2, b}})
 	s2 := in.Sum([]Term{{w2, b}, {w1, a}})
@@ -40,7 +44,7 @@ func TestSumCanonicalization(t *testing.T) {
 }
 
 func TestSumDropsZeroTerms(t *testing.T) {
-	in := NewInterner()
+	in := NewEvaluator()
 	a, w := in.Var("a"), in.Var("w")
 	s := in.Sum([]Term{{w, a}, {w, in.Zero()}, {in.Zero(), a}})
 	if s != in.Sum([]Term{{w, a}}) {
@@ -52,7 +56,7 @@ func TestSumDropsZeroTerms(t *testing.T) {
 }
 
 func TestSumSingleUnitTermCollapses(t *testing.T) {
-	in := NewInterner()
+	in := NewEvaluator()
 	a := in.Var("a")
 	if in.Sum([]Term{{in.One(), a}}) != a {
 		t.Fatal("1*a did not collapse to a")
@@ -65,7 +69,7 @@ func TestSumSingleUnitTermCollapses(t *testing.T) {
 }
 
 func TestDuplicateTermsDistinctFromSingle(t *testing.T) {
-	in := NewInterner()
+	in := NewEvaluator()
 	a, w := in.Var("a"), in.Var("w")
 	one := in.Sum([]Term{{w, a}})
 	two := in.Sum([]Term{{w, a}, {w, a}})
@@ -75,7 +79,7 @@ func TestDuplicateTermsDistinctFromSingle(t *testing.T) {
 }
 
 func TestAdd(t *testing.T) {
-	in := NewInterner()
+	in := NewEvaluator()
 	a, b := in.Var("a"), in.Var("b")
 	if in.Add(a, b) != in.Add(b, a) {
 		t.Fatal("Add not commutative")
@@ -86,7 +90,7 @@ func TestAdd(t *testing.T) {
 }
 
 func TestMaxCanonicalization(t *testing.T) {
-	in := NewInterner()
+	in := NewEvaluator()
 	a, b, c := in.Var("a"), in.Var("b"), in.Var("c")
 	if in.Max([]ID{a, b, c}) != in.Max([]ID{c, a, b}) {
 		t.Fatal("max not order-independent")
@@ -106,7 +110,7 @@ func TestMaxCanonicalization(t *testing.T) {
 }
 
 func TestNestedStructuralEquality(t *testing.T) {
-	in := NewInterner()
+	in := NewEvaluator()
 	a, b, w, v := in.Var("a"), in.Var("b"), in.Var("w"), in.Var("v")
 	// Build the same nested expression twice through different paths.
 	inner1 := in.Sum([]Term{{w, a}, {v, b}})
@@ -118,29 +122,135 @@ func TestNestedStructuralEquality(t *testing.T) {
 	}
 }
 
-func TestNumExprsGrowth(t *testing.T) {
-	in := NewInterner()
-	n0 := in.NumExprs()
-	in.Var("x")
-	in.Var("x") // no growth
-	if in.NumExprs() != n0+1 {
-		t.Fatalf("NumExprs = %d, want %d", in.NumExprs(), n0+1)
+// The cases below are where structural identity was stricter than
+// polynomial identity: each pair is one polynomial built two ways.
+
+func TestSumAssociative(t *testing.T) {
+	in := NewEvaluator()
+	a, b, c := in.Var("a"), in.Var("b"), in.Var("c")
+	if in.Add(in.Add(a, b), c) != in.Add(a, in.Add(b, c)) {
+		t.Fatal("(a+b)+c != a+(b+c)")
+	}
+	flat := in.Sum([]Term{{in.One(), a}, {in.One(), b}, {in.One(), c}})
+	if flat != in.Add(in.Add(a, b), c) {
+		t.Fatal("nested sum != flat sum")
 	}
 }
 
-func TestStringRendering(t *testing.T) {
-	in := NewInterner()
-	a, w := in.Var("a"), in.Var("w")
-	s := in.Sum([]Term{{w, a}, {in.Var("bias"), in.One()}})
-	str := in.String(s)
-	if str == "" || str == "?" {
-		t.Fatalf("String = %q", str)
+func TestProductDistributesOverSum(t *testing.T) {
+	in := NewEvaluator()
+	w, x, y := in.Var("w"), in.Var("x"), in.Var("y")
+	lhs := in.Sum([]Term{{w, in.Add(x, y)}})
+	rhs := in.Sum([]Term{{w, x}, {w, y}})
+	if lhs != rhs {
+		t.Fatal("w*(x+y) != w*x+w*y")
 	}
-	if got := in.String(in.Zero()); got != "0" {
-		t.Fatalf("Zero String = %q", got)
+}
+
+func TestMaxOfPolynomiallyEqualArgs(t *testing.T) {
+	in := NewEvaluator()
+	a, b, c, w := in.Var("a"), in.Var("b"), in.Var("c"), in.Var("w")
+	p := in.Sum([]Term{{w, a}})
+	q := in.Add(in.Add(a, b), c)                                  // (a+b)+c
+	q2 := in.Sum([]Term{{in.One(), in.Add(b, c)}, {in.One(), a}}) // (b+c)+a
+	if in.Max([]ID{p, q}) != in.Max([]ID{q2, p}) {
+		t.Fatal("max(p, q) != max(q', p) for q' = q as polynomials")
 	}
-	m := in.Max([]ID{a, s})
-	if in.String(m) == "" {
-		t.Fatal("max String empty")
+	if in.Max([]ID{q, q2}) != q {
+		t.Fatal("max(q, q') did not collapse to q")
+	}
+}
+
+func TestMaxIsNotASum(t *testing.T) {
+	in := NewEvaluator()
+	a, b, c := in.Var("a"), in.Var("b"), in.Var("c")
+	if in.Max([]ID{a, b}) == in.Add(a, b) {
+		t.Fatal("max(a,b) collided with a+b")
+	}
+	if in.Max([]ID{a, b}) == in.Max([]ID{a, c}) {
+		t.Fatal("max(a,b) collided with max(a,c)")
+	}
+	// max is uninterpreted: max(a,b)+c is not max(a+c, b+c).
+	if in.Add(in.Max([]ID{a, b}), c) == in.Max([]ID{in.Add(a, c), in.Add(b, c)}) {
+		t.Fatal("max distributed over +")
+	}
+}
+
+func TestStatsCountsCells(t *testing.T) {
+	in := NewEvaluator()
+	a, b, w := in.Var("a"), in.Var("b"), in.Var("w")
+	if got := in.Stats().Exprs; got != 0 {
+		t.Fatalf("variables counted as cells: %d", got)
+	}
+	in.Sum([]Term{{w, a}})
+	in.Add(a, b)
+	in.Max([]ID{a, b})
+	in.Sum([]Term{{w, a}}) // recomputed, counted again
+	s := in.Stats()
+	if s.Exprs != 4 {
+		t.Fatalf("Exprs = %d, want 4 computed cells", s.Exprs)
+	}
+	if s.Hits != 0 || s.Misses != 0 || s.HitRate() != 0 {
+		t.Fatalf("cache counters set without a cache: %+v", s)
+	}
+}
+
+func TestFieldArithmeticMatchesBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	p := big.NewInt(P)
+	edge := []ID{0, 1, 2, P - 1, P - 2, 1 << 60, P >> 1}
+	for i := 0; i < 20000; i++ {
+		var a, b ID
+		if i < len(edge)*len(edge) {
+			a, b = edge[i/len(edge)], edge[i%len(edge)]
+		} else {
+			a, b = ID(rng.Uint64()%P), ID(rng.Uint64()%P)
+		}
+		ba, bb := new(big.Int).SetUint64(uint64(a)), new(big.Int).SetUint64(uint64(b))
+		if got, want := mulMod(a, b), new(big.Int).Mod(new(big.Int).Mul(ba, bb), p).Uint64(); uint64(got) != want {
+			t.Fatalf("mulMod(%d, %d) = %d, want %d", a, b, got, want)
+		}
+		if got, want := addMod(a, b), new(big.Int).Mod(new(big.Int).Add(ba, bb), p).Uint64(); uint64(got) != want {
+			t.Fatalf("addMod(%d, %d) = %d, want %d", a, b, got, want)
+		}
+	}
+}
+
+func TestVarsAvoidIdentities(t *testing.T) {
+	in := NewEvaluator()
+	seen := map[ID]string{}
+	for i := 0; i < 5000; i++ {
+		name := string(rune('a'+i%26)) + string(rune('0'+i/26%10)) + string(rune('A'+i/260))
+		v := in.Var(name)
+		if v == in.Zero() || v == in.One() || v >= P {
+			t.Fatalf("Var(%q) = %d is not a fresh field element", name, v)
+		}
+		if prev, ok := seen[v]; ok && prev != name {
+			t.Fatalf("Var(%q) collided with Var(%q)", name, prev)
+		}
+		seen[v] = name
+	}
+}
+
+func TestMultisetHash(t *testing.T) {
+	in := NewEvaluator()
+	a, b, c := in.Var("a"), in.Var("b"), in.Var("c")
+	if MultisetHash([]ID{a, b, c}) != MultisetHash([]ID{c, a, b}) {
+		t.Fatal("multiset hash depends on order")
+	}
+	if MultisetHash([]ID{a, a, b}) == MultisetHash([]ID{a, b, b}) {
+		t.Fatal("multiplicities ignored")
+	}
+	if MultisetHash([]ID{a, b}) == MultisetHash([]ID{a, b, in.Zero()}) {
+		t.Fatal("a zero cell did not change the multiset")
+	}
+}
+
+func TestCombineIsOrderSensitive(t *testing.T) {
+	if Combine([]uint64{1, 2}) == Combine([]uint64{2, 1}) {
+		t.Fatal("Combine ignores order")
+	}
+	if Combine([]uint64{5}) == Combine([]uint64{5, 0}) {
+		t.Fatal("Combine ignores length")
 	}
 }

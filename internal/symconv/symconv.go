@@ -10,7 +10,6 @@ package symconv
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/huffduff/huffduff/internal/probe"
@@ -26,14 +25,15 @@ type Grid struct {
 // At returns the cell at (y, x).
 func (g Grid) At(y, x int) sym.ID { return g.Cells[y*g.W+x] }
 
-// Engine evaluates symbolic layers. All grids produced by one engine share
-// its interner, so cross-grid cell equality is ID equality.
+// Engine evaluates symbolic layers. Cell IDs are fingerprints, so cell
+// equality is ID equality across grids and engines alike; the engine's
+// evaluator counts the cells it computes.
 type Engine struct {
-	In *sym.Interner
+	Ev *sym.Evaluator
 }
 
 // NewEngine returns a fresh engine.
-func NewEngine() *Engine { return &Engine{In: sym.NewInterner()} }
+func NewEngine() *Engine { return &Engine{Ev: sym.NewEvaluator()} }
 
 // ProbeGrid builds the symbolic input grid for probe i of pattern p on an
 // h×w image: boundary-constant columns s_j, an n×n feature patch f_dy_dx at
@@ -41,15 +41,15 @@ func NewEngine() *Engine { return &Engine{In: sym.NewInterner()} }
 // probe in the set, mirroring how one Values instantiation is shared.
 func (e *Engine) ProbeGrid(p probe.Pattern, i, h, w int) Grid {
 	g := Grid{H: h, W: w, Cells: make([]sym.ID, h*w)}
-	b := e.In.Var("b")
+	b := e.Ev.Var("b")
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			v := b
 			if !p.FromRight && x < p.M {
-				v = e.In.Var(fmt.Sprintf("s%d", x))
+				v = e.Ev.Var(fmt.Sprintf("s%d", x))
 			}
 			if p.FromRight && x >= w-p.M {
-				v = e.In.Var(fmt.Sprintf("s%d", w-1-x))
+				v = e.Ev.Var(fmt.Sprintf("s%d", w-1-x))
 			}
 			g.Cells[y*w+x] = v
 		}
@@ -57,7 +57,7 @@ func (e *Engine) ProbeGrid(p probe.Pattern, i, h, w int) Grid {
 	fc := p.FeatureCol(i, w)
 	for dy := 0; dy < p.N; dy++ {
 		for dx := 0; dx < p.N; dx++ {
-			g.Cells[(p.FeatRow+dy)*w+fc+dx] = e.In.Var(fmt.Sprintf("f%d_%d", dy, dx))
+			g.Cells[(p.FeatRow+dy)*w+fc+dx] = e.Ev.Var(fmt.Sprintf("f%d_%d", dy, dx))
 		}
 	}
 	return g
@@ -73,15 +73,13 @@ func (e *Engine) ProbeGrids(p probe.Pattern, h, w int) []Grid {
 }
 
 // Conv applies a same-padded convolution with generic weights w_tag_dy_dx
-// and bias b_tag. BatchNorm's affine and ReLU are omitted: both are
-// injective on generic values per-position, so they never change the
-// equivalence classes the engine predicts (§5.2 shows how the numeric side
-// separates them).
+// and bias b_tag, followed by the layer's activation (BatchNorm's affine
+// map and ReLU). The activation is an uninterpreted injective function
+// (sym.Evaluator.Act): injective per position, so it never changes the
+// equivalence classes of this layer's cells (§5.2 shows how the numeric
+// side separates them), and opaque, so a later linear layer (a residual
+// add, an average pool) cannot re-associate sums across it.
 func (e *Engine) Conv(g Grid, tag string, kernel, stride int) Grid {
-	// Attribute interner growth to this layer hypothesis: when the sym
-	// budget watchdog aborts a runaway solve, the panic names the tag of
-	// the expression family that exploded.
-	e.In.SetSite(tag)
 	pad := (kernel - 1) / 2
 	oh := (g.H+2*pad-kernel)/stride + 1
 	ow := (g.W+2*pad-kernel)/stride + 1
@@ -90,10 +88,10 @@ func (e *Engine) Conv(g Grid, tag string, kernel, stride int) Grid {
 	wv := make([]sym.ID, kernel*kernel)
 	for dy := 0; dy < kernel; dy++ {
 		for dx := 0; dx < kernel; dx++ {
-			wv[dy*kernel+dx] = e.In.Var(fmt.Sprintf("%s_w%d_%d", tag, dy, dx))
+			wv[dy*kernel+dx] = e.Ev.Var(fmt.Sprintf("%s_w%d_%d", tag, dy, dx))
 		}
 	}
-	bias := e.In.Var(tag + "_b")
+	bias := e.Ev.Var(tag + "_b")
 	terms := make([]sym.Term, 0, kernel*kernel+1)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
@@ -111,8 +109,8 @@ func (e *Engine) Conv(g Grid, tag string, kernel, stride int) Grid {
 					terms = append(terms, sym.Term{Coef: wv[dy*kernel+dx], X: g.At(iy, ix)})
 				}
 			}
-			terms = append(terms, sym.Term{Coef: bias, X: e.In.One()})
-			out.Cells[oy*ow+ox] = e.In.Sum(terms)
+			terms = append(terms, sym.Term{Coef: bias, X: e.Ev.One()})
+			out.Cells[oy*ow+ox] = e.Ev.Act(e.Ev.Sum(terms))
 		}
 	}
 	return out
@@ -123,7 +121,6 @@ func (e *Engine) MaxPool(g Grid, window int) Grid {
 	if window <= 1 {
 		return g
 	}
-	e.In.SetSite(fmt.Sprintf("maxpool%d", window))
 	oh, ow := g.H/window, g.W/window
 	out := Grid{H: oh, W: ow, Cells: make([]sym.ID, oh*ow)}
 	args := make([]sym.ID, 0, window*window)
@@ -135,7 +132,7 @@ func (e *Engine) MaxPool(g Grid, window int) Grid {
 					args = append(args, g.At(oy*window+dy, ox*window+dx))
 				}
 			}
-			out.Cells[oy*ow+ox] = e.In.Max(args)
+			out.Cells[oy*ow+ox] = e.Ev.Max(args)
 		}
 	}
 	return out
@@ -147,7 +144,6 @@ func (e *Engine) AvgPool(g Grid, window int) Grid {
 	if window <= 1 {
 		return g
 	}
-	e.In.SetSite(fmt.Sprintf("avgpool%d", window))
 	oh, ow := g.H/window, g.W/window
 	out := Grid{H: oh, W: ow, Cells: make([]sym.ID, oh*ow)}
 	terms := make([]sym.Term, 0, window*window)
@@ -156,39 +152,32 @@ func (e *Engine) AvgPool(g Grid, window int) Grid {
 			terms = terms[:0]
 			for dy := 0; dy < window; dy++ {
 				for dx := 0; dx < window; dx++ {
-					terms = append(terms, sym.Term{Coef: e.In.One(), X: g.At(oy*window+dy, ox*window+dx)})
+					terms = append(terms, sym.Term{Coef: e.Ev.One(), X: g.At(oy*window+dy, ox*window+dx)})
 				}
 			}
-			out.Cells[oy*ow+ox] = e.In.Sum(terms)
+			out.Cells[oy*ow+ox] = e.Ev.Sum(terms)
 		}
 	}
 	return out
 }
 
-// Add sums two grids elementwise (a residual connection).
+// Add sums two grids elementwise (a residual connection), followed by the
+// join's activation (the ReLU after a residual add).
 func (e *Engine) Add(a, b Grid) Grid {
 	if a.H != b.H || a.W != b.W {
 		panic(fmt.Sprintf("symconv: Add shape mismatch %dx%d vs %dx%d", a.H, a.W, b.H, b.W))
 	}
 	out := Grid{H: a.H, W: a.W, Cells: make([]sym.ID, len(a.Cells))}
 	for i := range a.Cells {
-		out.Cells[i] = e.In.Add(a.Cells[i], b.Cells[i])
+		out.Cells[i] = e.Ev.Act(e.Ev.Add(a.Cells[i], b.Cells[i]))
 	}
 	return out
 }
 
-// Signature returns a canonical fingerprint of the multiset of cell
-// expressions: grids with equal signatures have (generically) equal nnz.
-func Signature(g Grid) string {
-	ids := append([]sym.ID(nil), g.Cells...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var b strings.Builder
-	fmt.Fprintf(&b, "%dx%d:", g.H, g.W)
-	for _, id := range ids {
-		fmt.Fprintf(&b, "%d,", id)
-	}
-	return b.String()
-}
+// Signature returns an order-free fingerprint of the multiset of cell
+// expressions: grids of one shape with equal signatures have (generically)
+// equal nnz.
+func Signature(g Grid) uint64 { return sym.MultisetHash(g.Cells) }
 
 // ClassPattern converts a sequence of comparable observations into a
 // canonical class-label pattern: the first distinct value becomes class 0,

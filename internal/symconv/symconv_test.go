@@ -22,7 +22,7 @@ func predict(t *testing.T, pat probe.Pattern, h, w int, layers [][3]int) []int {
 			grids[i] = g
 		}
 	}
-	sigs := make([]string, len(grids))
+	sigs := make([]uint64, len(grids))
 	for i, g := range grids {
 		sigs[i] = Signature(g)
 	}
@@ -268,7 +268,7 @@ func TestAvgPoolChangesPattern(t *testing.T) {
 	pat := probe.Pattern{M: 0, N: 1, Q: 8, FeatRow: 0}
 	e := NewEngine()
 	grids := e.ProbeGrids(pat, 1, 20)
-	var sigsPool, sigsNo []string
+	var sigsPool, sigsNo []uint64
 	for _, g := range grids {
 		c := e.Conv(g, "l0", 3, 1)
 		sigsNo = append(sigsNo, Signature(c))

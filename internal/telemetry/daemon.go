@@ -696,19 +696,21 @@ func (d *Daemon) retryable(class string) bool {
 	return class != faults.ClassConfig && class != faults.ClassCanceled
 }
 
-// finishDone records a successful campaign.
+// finishDone records a successful campaign. The done record is persisted
+// and journaled before the campaign reads as done: a client that saw "done"
+// must never see the campaign requeued after a crash.
 func (d *Daemon) finishDone(c *campaign, res *attack.Result, started, finished time.Time, spec JobSpec) {
-	c.update(func(s *CampaignSnapshot) {
+	sum := c.ledger.Summary()
+	terminal := func(s *CampaignSnapshot) {
 		s.Finished = &finished
 		s.State = StateDone
 		s.SolutionCount = res.Space.Count()
 		s.Degraded = res.Degraded
 		s.VictimRetries = res.VictimRetries
-	})
-	c.ledger.Close()
-	sum := c.ledger.Summary()
-	c.update(func(s *CampaignSnapshot) { s.Converge = &sum })
+		s.Converge = &sum
+	}
 	snap := c.snapshot()
+	terminal(&snap)
 	d.persistTerminal(snap, started, finished)
 	d.journalState(snap.ID, StateChange{
 		State:     StateDone,
@@ -718,28 +720,33 @@ func (d *Daemon) finishDone(c *campaign, res *attack.Result, started, finished t
 		Retries:   snap.VictimRetries,
 		Degraded:  snap.Degraded,
 	})
+	c.update(terminal)
+	c.ledger.Close()
 	d.count("daemon.campaigns", "state=done", 1)
 	if d.cfg.Recorder != nil {
 		d.cfg.Recorder.Observe("daemon.campaign.seconds", "model="+spec.Model, finished.Sub(started).Seconds())
 	}
 }
 
-// finishFailed records a permanently failed campaign.
+// finishFailed records a permanently failed campaign, durably before it
+// reads as failed (see finishDone).
 func (d *Daemon) finishFailed(c *campaign, err error, class string, started, finished time.Time, spec JobSpec) {
-	c.update(func(s *CampaignSnapshot) {
+	sum := c.ledger.Summary()
+	terminal := func(s *CampaignSnapshot) {
 		s.Finished = &finished
 		s.State = StateFailed
 		s.Error = err.Error()
 		s.ErrorClass = class
-	})
-	c.ledger.Close()
-	sum := c.ledger.Summary()
-	c.update(func(s *CampaignSnapshot) { s.Converge = &sum })
+		s.Converge = &sum
+	}
 	snap := c.snapshot()
+	terminal(&snap)
 	d.persistTerminal(snap, started, finished)
 	d.journalState(snap.ID, StateChange{
 		State: StateFailed, Attempt: snap.Attempts, Error: snap.Error, Class: class,
 	})
+	c.update(terminal)
+	c.ledger.Close()
 	d.count("daemon.campaigns", "state=failed", 1)
 	d.count("daemon.failures", "class="+class, 1)
 	if d.cfg.Recorder != nil {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -378,6 +379,29 @@ func queryCampaigns(src CampaignSource, q store.Query) ([]CampaignSnapshot, erro
 	return out, nil
 }
 
+// maxJobSpecBytes bounds a POST /campaigns body. A JobSpec is a few hundred
+// bytes of JSON; anything this large is not one.
+const maxJobSpecBytes = 64 << 10
+
+// decodeJobSpec reads exactly one JSON JobSpec from r. Trailing data after
+// it is an error; read errors, such as an exceeded size limit, stay
+// visible to errors.As.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&spec); err != nil {
+		return JobSpec{}, fmt.Errorf("bad job spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return JobSpec{}, fmt.Errorf("bad job spec: %w", err)
+		}
+		return JobSpec{}, errors.New("bad job spec: trailing data after the JSON object")
+	}
+	return spec, nil
+}
+
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -401,9 +425,14 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "read-only server: no submitter configured", http.StatusMethodNotAllowed)
 			return
 		}
-		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			http.Error(w, "bad job spec: "+err.Error(), http.StatusBadRequest)
+		spec, err := decodeJobSpec(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			http.Error(w, fmt.Sprintf("job spec larger than %d bytes", maxJobSpecBytes), http.StatusRequestEntityTooLarge)
+			return
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		snap, err := s.opts.Submitter.Submit(spec)
